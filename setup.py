@@ -1,8 +1,9 @@
 """Build script for the optional compiled Numerov kernel.
 
-The package is pure Python apart from etcrit._numerov; if the extension
-cannot be built (no compiler, no Cython) the install still succeeds and the
-pure-Python kernel in etcrit._numerov_py is used instead.
+The package is pure Python apart from etcrit._numerov, a hand-written C
+twin of the pure-Python kernel in etcrit._numerov_py.  If the extension
+cannot be built (no compiler) the install still succeeds and the
+pure-Python kernel is used instead.
 """
 
 import os
@@ -36,20 +37,7 @@ class optional_build_ext(build_ext):
 
 ext_modules = []
 if os.environ.get("ETCRIT_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "etcrit._numerov",
-                    ["src/etcrit/_numerov.pyx"],
-                    extra_compile_args=COMPILE_ARGS,
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
+    ext_modules = [Extension("etcrit._numerov", ["src/etcrit/_numerov.c"],
+                             extra_compile_args=COMPILE_ARGS)]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

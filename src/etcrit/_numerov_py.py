@@ -1,8 +1,8 @@
 """Pure-Python reference implementation of the Numerov sweep.
 
-The compiled twin in _numerov.pyx mirrors this code statement for statement;
-keep the arithmetic identical in both (same expressions, same order) so the
-two backends agree bit for bit.
+The compiled twin, the hand-written C file _numerov.c, mirrors this code
+statement for statement; keep the arithmetic identical in both (same
+expressions, same order) so the two backends agree bit for bit.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ Exit codes: 0 success, 2 physically unbound / no solution (not a failure),
 Output formats: an aligned table (6 significant figures), CSV with a fixed
 header and full double precision, or JSON (array of row objects with the
 same field names).  A --config file holds flag defaults as flat key=value
-lines; explicit flags win.  ETCRIT_THREADS caps scan parallelism; rows are
-emitted in input order regardless.
+lines; explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -450,13 +447,7 @@ def run_scan(base_args, command: str, vary: str,
             row[vary if vary != "hold" else "held_value"] = value
             return row
 
-    threads = max(1, int(os.environ.get("ETCRIT_THREADS", "1")))
-    if threads == 1 or len(values) == 1:
-        rows = [one(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, values))
-    return rows
+    return [one(v) for v in values]
 
 
 def scan(spec: ScanSpec) -> List[Dict[str, object]]:
@@ -532,8 +523,7 @@ custom wells (--well custom --expr EXPR): expressions over r with numbers,
 exp, sqrt, ln.  Example: --expr "exp(-r)*(1 + r/2)".
 
 exit codes: 0 success; 2 physically unbound / no solution; 1 usage or
-convergence errors.  ETCRIT_THREADS caps scan parallelism (row order is
-always the input order).
+convergence errors.
 """
 
 

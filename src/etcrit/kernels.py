@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
 The radial oracle spends essentially all of its time in the Numerov sweep,
-so that one routine exists twice: compiled (etcrit._numerov, built from
-Cython) and pure Python (etcrit._numerov_py).  The compiled version is
+so that one routine exists twice: compiled (etcrit._numerov, a hand-written
+C file) and pure Python (etcrit._numerov_py).  The compiled version is
 picked at import when available; set ETCRIT_PURE_PYTHON=1 to force the
 fallback.  Callers should go through this module's `numerov_sweep` attribute
 so the benchmark and tests can repoint it.

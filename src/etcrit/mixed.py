@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .critical import zero_energy_radius
 from .errors import (ConvergenceError, EtcritError, NoRootError,
@@ -266,9 +266,16 @@ def solve_energy_mixed(sys: MixedSystem, state_a: StateSpec,
 
     best = None
     for lr, lrr in roots:
-        geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
-                        tuple(abs(x) for x in F(lr, lrr)))
-        energy = _energy_of(sys, geo)
+        try:
+            geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
+                            tuple(abs(x) for x in F(lr, lrr)))
+            energy = _energy_of(sys, geo)
+        except ArithmeticError as exc:
+            # a root so far out that its momenta overflow is a numerical
+            # failure of the multistart, not evidence of an unbound system
+            raise ConvergenceError(
+                f"stationary point at log radii ({lr:.6g}, {lrr:.6g}) has "
+                f"no finite geometry") from exc
         if best is None or energy < best[0]:
             best = (energy, geo)
     return best
@@ -337,7 +344,11 @@ def _gaa_from_geometry(sys: MixedSystem, qa: float, q2: float, r: float,
 
 
 def _critical_roots(sys: MixedSystem, state_a: StateSpec, qa: float,
-                    q2: float, held: str) -> List[Tuple[float, float]]:
+                    q2: float, held: str
+                    ) -> Tuple[Callable[[float, float], Tuple[float, float]],
+                               List[Tuple[float, float]]]:
+    """The zero-energy system F(log r_aa, log r_ab) with the coupling named
+    by held fixed, and its distinct roots from the multistart."""
     na = sys.na
     kin_ab = (q2 * HBAR) ** 2 / sys.mu_ab
     kin_aa = (qa * HBAR) ** 2 / sys.mass_a
@@ -363,7 +374,7 @@ def _critical_roots(sys: MixedSystem, state_a: StateSpec, qa: float,
 
     seeds = _seed_grid(_aa_radius_seed(sys, state_a),
                        _ab_critical_radius_seed(sys))
-    return _multistart(F, seeds)
+    return F, _multistart(F, seeds)
 
 
 def _ab_critical_radius_seed(sys: MixedSystem) -> float:
@@ -371,11 +382,6 @@ def _ab_critical_radius_seed(sys: MixedSystem) -> float:
         return zero_energy_radius(sys.well_ab)
     except NoRootError:
         return 1.0 / sys.well_ab.mu
-
-
-def _critical_residuals(sys, qa, q2, r, rr, held) -> Tuple[float, float]:
-    g1 = _link_residual(sys, qa, q2, r, rr)
-    return (abs(g1), 0.0)
 
 
 def critical_coupling_ab(sys: MixedSystem, state_a: StateSpec,
@@ -391,7 +397,7 @@ def critical_coupling_ab(sys: MixedSystem, state_a: StateSpec,
         return _critical_ab_two_body(sys, q2)
     _require_wells(sys)
 
-    roots = _critical_roots(sys, state_a, qa, q2, held="g_aa")
+    F, roots = _critical_roots(sys, state_a, qa, q2, held="g_aa")
     if not roots:
         raise UnboundError(
             "no positive-geometry solution: the mixed system cannot reach "
@@ -399,11 +405,11 @@ def critical_coupling_ab(sys: MixedSystem, state_a: StateSpec,
     values = []
     for lr, lrr in roots:
         r, rr = math.exp(lr), math.exp(lrr)
-        values.append((_gab_from_geometry(sys, q2, r, rr), r, rr))
+        values.append((_gab_from_geometry(sys, q2, r, rr), lr, lrr))
     values.sort(key=lambda t: abs(t[0]))
-    g_ab, r, rr = values[0]
-    geo = _geometry(sys, qa, q2, r, rr,
-                    _critical_residuals(sys, qa, q2, r, rr, "g_aa"))
+    g_ab, lr, lrr = values[0]
+    geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
+                    tuple(abs(x) for x in F(lr, lrr)))
     return MixedCritical("g_aa", sys.g_aa, g_ab, geo, sys.mu_ab,
                          candidates=tuple(v[0] for v in values))
 
@@ -431,7 +437,7 @@ def critical_coupling_aa(sys: MixedSystem, state_a: StateSpec,
     _require_wells(sys)
     qa, q2 = _q_values(sys, state_a, state_b)
 
-    roots = _critical_roots(sys, state_a, qa, q2, held="g_ab")
+    F, roots = _critical_roots(sys, state_a, qa, q2, held="g_ab")
     if not roots:
         raise UnboundError(
             "no positive-geometry solution: the mixed system cannot reach "
@@ -439,11 +445,11 @@ def critical_coupling_aa(sys: MixedSystem, state_a: StateSpec,
     values = []
     for lr, lrr in roots:
         r, rr = math.exp(lr), math.exp(lrr)
-        values.append((_gaa_from_geometry(sys, qa, q2, r, rr), r, rr))
+        values.append((_gaa_from_geometry(sys, qa, q2, r, rr), lr, lrr))
     values.sort(key=lambda t: abs(t[0]))
-    g_aa, r, rr = values[0]
-    geo = _geometry(sys, qa, q2, r, rr,
-                    _critical_residuals(sys, qa, q2, r, rr, "g_ab"))
+    g_aa, lr, lrr = values[0]
+    geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
+                    tuple(abs(x) for x in F(lr, lrr)))
     return MixedCritical("g_ab", sys.g_ab, g_aa, geo, sys.mu_ab,
                          candidates=tuple(v[0] for v in values))
 

@@ -164,15 +164,6 @@ class TestScans:
         header, rows = csv_to_rows(target.read_text())
         assert len(rows) == 2
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        argv = ["scan", "crit-id", "--vary", "N", "--values", "2,3,4,5,6",
-                "--format", "csv"]
-        monkeypatch.setenv("ETCRIT_THREADS", "1")
-        _, serial, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("ETCRIT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, argv)
-        assert serial == threaded
-
     def test_scan_error_rows_recorded(self, capsys):
         code, out, _ = run_cli(capsys, [
             "scan", "energy-id", "--vary", "g", "--values", "40,-1",
@@ -181,6 +172,19 @@ class TestScans:
         rows = json.loads(out)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] in ("error", "unbound", "ok")
+
+    def test_geometry_overflow_is_an_error_row(self, capsys):
+        # the stationary point found at g_ab = 0.7 lies so far out that its
+        # momenta overflow; that point fails, the scan carries on
+        code, out, _ = run_cli(capsys, [
+            "scan", "energy-mixed", "--vary", "gab",
+            "--values", "0.5,0.6,0.7,0.8", "--Na", "3", "--ma", "1",
+            "--mb", "5", "--gaa", "1.2", "--well-aa", "exponential",
+            "--well-ab", "exponential", "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 4 and rows[2]["status"] == "error"
+        assert rows[2]["detail"].startswith("ConvergenceError:")
 
     def test_bad_vary_name(self, capsys):
         code, _, err = run_cli(capsys, [

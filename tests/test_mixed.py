@@ -11,7 +11,7 @@ from etcrit.mixed import (INFINITE, MixedSystem, critical_coupling_aa,
                           reduced_mass, solve_energy_mixed)
 from etcrit.numerics import Bracket, find_root
 from etcrit.potentials import make_builtin
-from etcrit.quantum import StateSpec, bosonic_ground
+from etcrit.quantum import StateSpec, bosonic_ground, global_quantum_number
 
 EXP = make_builtin("exponential", 1.0)
 GROUND2 = StateSpec(((0, 0),), 3)
@@ -185,6 +185,38 @@ class TestCriticalInternal:
         with pytest.raises(ValueError):
             critical_coupling_aa(mixed(2, 1.0, 1.0, 0.0, -0.5),
                                  ground_a(2), GROUND2)
+
+
+class TestCriticalResiduals:
+    """Both residuals of the zero-energy system are reported, the second one
+    recomputed here from the returned geometry (hbar = 1)."""
+
+    @staticmethod
+    def second_equation(sysm, held, geo):
+        na, r, rr = sysm.na, geo.r_aa, geo.r_ab
+        kin_ab = global_quantum_number(GROUND2) ** 2 / sysm.mu_ab
+        if held == "g_aa":
+            kin_aa = global_quantum_number(ground_a(na)) ** 2 / sysm.mass_a
+            lhs = sysm.g_aa * sysm.well_aa.v1(r)
+            t1 = r / (na * na * rr ** 4) * kin_ab
+            t2 = 4.0 / (na * (na - 1) ** 2) * kin_aa / r ** 3
+            return abs(lhs - (t1 - t2)) / (abs(lhs) + abs(t1) + abs(t2))
+        rp = geo.r_ab_eff
+        lhs = sysm.g_ab * sysm.well_ab.v1(rp)
+        rhs = -rp / (na * rr ** 4) * kin_ab
+        return abs(lhs - rhs) / (abs(lhs) + abs(rhs))
+
+    @pytest.mark.parametrize("held, sysm", [
+        ("g_aa", mixed(5, 1.0, 1.0, 0.5, 1.0)),
+        ("g_ab", mixed(2, 1.0, INFINITE, 0.0, 0.6)),
+    ], ids=["ab-Na5", "aa-static-pair"])
+    def test_second_residual_is_reported(self, held, sysm):
+        solve = critical_coupling_ab if held == "g_aa" else critical_coupling_aa
+        geo = solve(sysm, ground_a(sysm.na), GROUND2).geometry
+        expected = self.second_equation(sysm, held, geo)
+        assert geo.residuals[1] == pytest.approx(expected, rel=1e-6,
+                                                 abs=1e-22)
+        assert geo.residuals[1] < 1e-8
 
 
 class TestStaticLimit:

@@ -48,16 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass
-class RunRequest:
-    """A parsed single computation."""
-
-    command: str
-    parameters: Dict[str, object]
-    output: str = "table"
-    output_path: Optional[str] = None
-
-
-@dataclass
 class ScanSpec:
     """A one-dimensional parameter scan around a base computation."""
 
@@ -416,35 +406,35 @@ def _scan_values(args) -> List[object]:
     return raw
 
 
-def _scan_point_args(base_args, command: str, vary: str, value: str):
-    conv = _SCANNABLE[command][vary]
-    point = argparse.Namespace(**vars(base_args))
-    if vary == "hold":
-        kind, _ = base_args.hold
-        setattr(point, "hold", (kind, conv(value)))
-    else:
-        setattr(point, vary, conv(value))
-    return point
-
-
-def run_scan(base_args, command: str, vary: str,
-             values: Sequence[str]) -> List[Dict[str, object]]:
+def _scan_converter(command: str, vary: str):
     if vary not in _SCANNABLE[command]:
         raise _UsageError(
             f"cannot scan {vary!r} for {command}; choose from "
             f"{', '.join(sorted(_SCANNABLE[command]))}")
+    return _SCANNABLE[command][vary]
+
+
+def run_scan(base_args, command: str, vary: str,
+             values: Sequence[str]) -> List[Dict[str, object]]:
+    conv = _scan_converter(command, vary)
     compute = _COMPUTE[command]
 
     def one(value: str) -> Dict[str, object]:
+        shown: object = value  # stays text only when it does not convert
         try:
-            point = _scan_point_args(base_args, command, vary, value)
+            shown = conv(value)
+            point = argparse.Namespace(**vars(base_args))
+            if vary == "hold":
+                point.hold = (base_args.hold[0], shown)
+            else:
+                setattr(point, vary, shown)
             return compute(point)
         except _UsageError:
             raise
         except (EtcritError, ValueError) as exc:
             row = {k: None for k in _HEADERS[command]}
             row.update(status="error", detail=f"{type(exc).__name__}: {exc}")
-            row[vary if vary != "hold" else "held_value"] = value
+            row[vary if vary != "hold" else "held_value"] = shown
             return row
 
     return [one(v) for v in values]
@@ -639,16 +629,11 @@ def run(argv: Sequence[str]) -> int:
                 # recognize belongs to the target subcommand
                 scan_ns, rest = parser.parse_known_args(argv)
                 values = _scan_values(scan_ns)
-                if scan_ns.vary not in _SCANNABLE[scan_ns.target]:
-                    raise _UsageError(
-                        f"cannot scan {scan_ns.vary!r} for {scan_ns.target}; "
-                        f"choose from "
-                        f"{', '.join(sorted(_SCANNABLE[scan_ns.target]))}")
+                conv = _scan_converter(scan_ns.target, scan_ns.vary)
                 # seed the varied flag so required arguments stay satisfied
                 # (per-point values overwrite it); "hold" keeps the explicit
                 # flag because it carries which coupling is held
                 if scan_ns.vary != "hold":
-                    conv = _SCANNABLE[scan_ns.target][scan_ns.vary]
                     rest = [f"--{scan_ns.vary}", str(conv(values[0]))] + rest
                 base_args = parser.parse_args([scan_ns.target] + rest)
                 rows = run_scan(base_args, scan_ns.target, scan_ns.vary,
@@ -663,11 +648,8 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "validate":
             return EXIT_OK if validate(sys.stdout) else EXIT_ERROR
 
-        request = RunRequest(command=args.command, parameters=vars(args),
-                             output=args.format, output_path=args.output)
-        row = _COMPUTE[request.command](args)
-        _emit(_HEADERS[request.command], [row], request.output,
-              request.output_path)
+        row = _COMPUTE[args.command](args)
+        _emit(_HEADERS[args.command], [row], args.format, args.output)
         if row.get("status") == "unbound":
             sys.stderr.write(f"unbound: {row.get('detail') or 'no solution'}\n")
             return EXIT_UNBOUND

@@ -29,13 +29,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import ConvergenceError, NoRootError, UnboundError
-from .identical import HBAR, radial_weight_from_angular
-from .numerics import Bracket, find_root
+from .identical import HBAR, _scan_radii, radial_weight_from_angular
+from .numerics import Bracket, find_root, geometric_grid, value_or_nan
 from .potentials import PotentialWell
 from .quantum import StateSpec, global_quantum_number, split_quantum_number
-
-_SCAN_POINTS = 240
-_SCAN_SPAN = (1e-6, 1e6)
 
 
 @dataclass(frozen=True)
@@ -62,19 +59,10 @@ def zero_energy_radius(well: PotentialWell) -> float:
     def condition(rho: float) -> float:
         return 2.0 * well.v(rho) + rho * well.v1(rho)
 
-    lo, hi = _SCAN_SPAN[0] / well.mu, _SCAN_SPAN[1] / well.mu
-    ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
-    prev_r = lo
-    try:
-        prev_v = condition(lo)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        prev_v = math.nan
-    for i in range(1, _SCAN_POINTS):
-        r = lo * ratio ** i
-        try:
-            val = condition(r)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            val = math.nan
+    grid = _scan_radii(well.mu)
+    prev_r, prev_v = grid[0], value_or_nan(condition, grid[0])
+    for r in grid[1:]:
+        val = value_or_nan(condition, r)
         if not (math.isnan(prev_v) or math.isnan(val)):
             if prev_v == 0.0:
                 return prev_r
@@ -88,7 +76,10 @@ def zero_energy_radius(well: PotentialWell) -> float:
 
 def well_factor(well: PotentialWell) -> float:
     """The shape factor 1 / (rho0**2 v(rho0)) of the critical formula."""
-    rho = zero_energy_radius(well)
+    return _factor_at(well, zero_energy_radius(well))
+
+
+def _factor_at(well: PotentialWell, rho: float) -> float:
     return 1.0 / (rho * rho * well.v(rho))
 
 
@@ -106,7 +97,7 @@ def critical_coupling(well: PotentialWell, n_particles: int, mass: float,
     if well.power_exponent is not None:
         return _power_law_limit(well.power_exponent, "plain")
     rho = zero_energy_radius(well)
-    factor = 1.0 / (rho * rho * well.v(rho))
+    factor = _factor_at(well, rho)
     q = global_quantum_number(state)
     g = _coupling_from_q(factor, n_particles, mass, q)
     return CriticalResult(g, rho, factor, "plain", "upper_bound")
@@ -134,7 +125,7 @@ def critical_coupling_improved(well: PotentialWell, n_particles: int,
             "the angular quantum number vanishes for this state; the "
             "split-improved critical coupling is undefined")
     rho = zero_energy_radius(well)
-    factor = 1.0 / (rho * rho * well.v(rho))
+    factor = _factor_at(well, rho)
 
     def mapped(g: float) -> float:
         w = radial_weight_from_angular(well, n_particles, mass, g, split.angular)
@@ -172,31 +163,27 @@ def critical_coupling_improved(well: PotentialWell, n_particles: int,
 
 def _bracketed_fixed_point(mapped, seed: float) -> float:
     """Root of g - mapped(g) over a wide geometric range around the seed."""
-    def defect(g: float):
+    def defect(g: float) -> float:
         try:
             return g - mapped(g)
-        except (UnboundError, ValueError):
-            return None
+        except UnboundError:
+            return math.nan
 
-    lo, hi = 1e-3 * seed, 1e3 * seed
-    n = 120
-    ratio = (hi / lo) ** (1.0 / (n - 1))
+    def f(g: float) -> float:
+        out = value_or_nan(defect, g)
+        if math.isnan(out):
+            raise ConvergenceError(
+                "improved critical coupling undefined inside bracket")
+        return out
+
     prev = None
-    for i in range(n):
-        g = lo * ratio ** i
-        val = defect(g)
-        if val is not None and prev is not None:
-            g_prev, v_prev = prev
-            if (v_prev > 0.0) != (val > 0.0):
-                def f(x):
-                    out = defect(x)
-                    if out is None:
-                        raise ConvergenceError(
-                            "improved critical coupling undefined inside bracket")
-                    return out
-                return find_root(f, Bracket(g_prev, g))
-        if val is not None:
-            prev = (g, val)
+    for g in geometric_grid(1e-3 * seed, 1e3 * seed, 120):
+        val = value_or_nan(defect, g)
+        if math.isnan(val):
+            continue
+        if prev is not None and (prev[1] > 0.0) != (val > 0.0):
+            return find_root(f, Bracket(prev[0], g))
+        prev = (g, val)
     raise ConvergenceError(
         "no fixed point found for the improved critical coupling")
 

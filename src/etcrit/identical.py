@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .errors import UnboundError
-from .numerics import Bracket, find_root
+from .numerics import Bracket, find_root, geometric_grid, value_or_nan
 from .potentials import PotentialWell
 from .quantum import StateSpec, global_quantum_number, split_quantum_number
 
@@ -96,12 +96,9 @@ def signed_potential(well: PotentialWell, coupling: float
             lambda r: s * well.v2(r))
 
 
-def _safe(f: Callable[[float], float], x: float) -> float:
-    try:
-        out = f(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return math.nan
-    return out
+def _scan_radii(mu: float) -> List[float]:
+    """The radii of every bracket scan over a well of inverse range mu."""
+    return geometric_grid(_SCAN_SPAN[0] / mu, _SCAN_SPAN[1] / mu, _SCAN_POINTS)
 
 
 def _scan_minima(f: Callable[[float], float], mu: float) -> Tuple[List[float], int]:
@@ -114,10 +111,8 @@ def _scan_minima(f: Callable[[float], float], mu: float) -> Tuple[List[float], i
     maximum almost merged, near-critical binding) is recovered by refining
     the scan minimum of f.
     """
-    lo, hi = _SCAN_SPAN[0] / mu, _SCAN_SPAN[1] / mu
-    ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
-    grid = [lo * ratio ** i for i in range(_SCAN_POINTS)]
-    vals = [_safe(f, r) for r in grid]
+    grid = _scan_radii(mu)
+    vals = [value_or_nan(f, r) for r in grid]
 
     minima: List[float] = []
     n_down = 0
@@ -138,20 +133,20 @@ def _scan_minima(f: Callable[[float], float], mu: float) -> Tuple[List[float], i
             invphi = (math.sqrt(5.0) - 1.0) / 2.0
             c = b - (b - a) * invphi
             d = a + (b - a) * invphi
-            fc, fd = _safe(f, c), _safe(f, d)
+            fc, fd = value_or_nan(f, c), value_or_nan(f, d)
             for _ in range(200):
                 if b - a <= 1e-14 * b:
                     break
                 if fc < fd:
                     b, d, fd = d, c, fc
                     c = b - (b - a) * invphi
-                    fc = _safe(f, c)
+                    fc = value_or_nan(f, c)
                 else:
                     a, c, fc = c, d, fd
                     d = a + (b - a) * invphi
-                    fd = _safe(f, d)
+                    fd = value_or_nan(f, d)
             xm = 0.5 * (a + b)
-            if _safe(f, xm) < 0.0:
+            if value_or_nan(f, xm) < 0.0:
                 n_down = 1
                 minima.append(find_root(f, Bracket(grid[i0 - 1], xm)))
     return minima, n_down

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .critical import zero_energy_radius
+from .critical import _factor_at, critical_coupling, zero_energy_radius
 from .errors import (ConvergenceError, EtcritError, NoRootError,
                      SingularJacobianError, UnboundError)
 from .identical import (HBAR, IdenticalSystem, _scan_minima, signed_potential,
@@ -199,10 +199,7 @@ def _aa_radius_seed(sys: MixedSystem, state_a: StateSpec) -> float:
                 return sol.rho0
         except (EtcritError, ValueError):
             pass
-    try:
-        return zero_energy_radius(sys.well_aa)
-    except NoRootError:
-        return 1.0 / sys.well_aa.mu
+    return _radius_or_range(sys.well_aa)
 
 
 def _ab_radius_seed(sys: MixedSystem, q2: float) -> float:
@@ -216,10 +213,15 @@ def _ab_radius_seed(sys: MixedSystem, q2: float) -> float:
         minima, _ = _scan_minima(f, sys.well_ab.mu)
         if minima:
             return min(minima)
+    return _radius_or_range(sys.well_ab)
+
+
+def _radius_or_range(well: PotentialWell) -> float:
+    """The zero-energy radius of the well, or its range 1/mu without one."""
     try:
-        return zero_energy_radius(sys.well_ab)
+        return zero_energy_radius(well)
     except NoRootError:
-        return 1.0 / sys.well_ab.mu
+        return 1.0 / well.mu
 
 
 # --- energies ----------------------------------------------------------------
@@ -309,79 +311,74 @@ def _require_wells(sys: MixedSystem) -> None:
         raise ValueError("critical couplings are defined for genuine wells only")
 
 
-def _link_residual(sys: MixedSystem, qa: float, q2: float, r: float,
-                   rr: float) -> float:
-    """Zero-energy relation tying r_aa and r_ab (scaled to be dimensionless)."""
+def _critical(sys: MixedSystem, state_a: StateSpec, qa: float, q2: float,
+              held: str) -> MixedCritical:
+    """Critical value of one coupling while the one named by held ("g_aa"
+    or "g_ab") keeps its value in sys.
+
+    At zero energy each coupling obeys coupling * v1 = a - b at the radii
+    (r_aa, r_ab).  The multistart solves the held coupling's condition with
+    the link relation; the other condition then gives the solved value.
+    """
     na = sys.na
     kin_ab = (q2 * HBAR) ** 2 / sys.mu_ab
     kin_aa = (qa * HBAR) ** 2 / sys.mass_a
-    rp = _r_ab_eff(na, r, rr)
-    r4 = rr ** 4
-    va, v1a = sys.well_aa.v(r), sys.well_aa.v1(r)
-    vb, v1b = sys.well_ab.v(rp), sys.well_ab.v1(rp)
-    l1 = va * ((na - 1) / (2.0 * na) * r / (r4 * v1a) * kin_ab
-               - 2.0 / (na - 1) * kin_aa / (r ** 3 * v1a))
-    l2 = -vb * rp / (r4 * v1b) * kin_ab
-    r1 = kin_aa / ((na - 1) * r * r)
-    r2 = kin_ab / (2.0 * rr * rr)
-    return (l1 + l2 - r1 - r2) / (abs(l1) + abs(l2) + abs(r1) + abs(r2) + 1e-300)
 
+    def link(r: float, rr: float) -> float:
+        """Zero-energy relation tying r_aa and r_ab (dimensionless)."""
+        rp = _r_ab_eff(na, r, rr)
+        r4 = rr ** 4
+        va, v1a = sys.well_aa.v(r), sys.well_aa.v1(r)
+        vb, v1b = sys.well_ab.v(rp), sys.well_ab.v1(rp)
+        l1 = va * ((na - 1) / (2.0 * na) * r / (r4 * v1a) * kin_ab
+                   - 2.0 / (na - 1) * kin_aa / (r ** 3 * v1a))
+        l2 = -vb * rp / (r4 * v1b) * kin_ab
+        r1 = kin_aa / ((na - 1) * r * r)
+        r2 = kin_ab / (2.0 * rr * rr)
+        return ((l1 + l2 - r1 - r2)
+                / (abs(l1) + abs(l2) + abs(r1) + abs(r2) + 1e-300))
 
-def _gab_from_geometry(sys: MixedSystem, q2: float, r: float, rr: float) -> float:
-    rp = _r_ab_eff(sys.na, r, rr)
-    kin_ab = (q2 * HBAR) ** 2 / sys.mu_ab
-    return -rp / (sys.na * rr ** 4) * kin_ab / sys.well_ab.v1(rp)
+    def condition(coupling: str, r: float, rr: float
+                  ) -> Tuple[float, float, float]:
+        """(v1, a, b) of the named coupling's condition."""
+        if coupling == "g_aa":
+            return (sys.well_aa.v1(r), r / (na * na * rr ** 4) * kin_ab,
+                    4.0 / (na * (na - 1) ** 2) * kin_aa / r ** 3)
+        rp = _r_ab_eff(na, r, rr)
+        return sys.well_ab.v1(rp), 0.0, rp / (na * rr ** 4) * kin_ab
 
-
-def _gaa_from_geometry(sys: MixedSystem, qa: float, q2: float, r: float,
-                       rr: float) -> float:
-    na = sys.na
-    kin_ab = (q2 * HBAR) ** 2 / sys.mu_ab
-    kin_aa = (qa * HBAR) ** 2 / sys.mass_a
-    rhs = (r / (na * na * rr ** 4) * kin_ab
-           - 4.0 / (na * (na - 1) ** 2) * kin_aa / r ** 3)
-    return rhs / sys.well_aa.v1(r)
-
-
-def _critical_roots(sys: MixedSystem, state_a: StateSpec, qa: float,
-                    q2: float, held: str
-                    ) -> Tuple[Callable[[float, float], Tuple[float, float]],
-                               List[Tuple[float, float]]]:
-    """The zero-energy system F(log r_aa, log r_ab) with the coupling named
-    by held fixed, and its distinct roots from the multistart."""
-    na = sys.na
-    kin_ab = (q2 * HBAR) ** 2 / sys.mu_ab
-    kin_aa = (qa * HBAR) ** 2 / sys.mass_a
+    held_value = getattr(sys, held)
+    solved = "g_ab" if held == "g_aa" else "g_aa"
 
     def F(lr: float, lrr: float) -> Tuple[float, float]:
         try:
             r = math.exp(lr)
             rr = math.exp(lrr)
-            g1 = _link_residual(sys, qa, q2, r, rr)
-            if held == "g_aa":
-                lhs = sys.g_aa * sys.well_aa.v1(r)
-                t1 = r / (na * na * rr ** 4) * kin_ab
-                t2 = 4.0 / (na * (na - 1) ** 2) * kin_aa / r ** 3
-                g2 = (lhs - (t1 - t2)) / (abs(lhs) + abs(t1) + abs(t2) + 1e-300)
-            else:
-                rp = _r_ab_eff(na, r, rr)
-                lhs = sys.g_ab * sys.well_ab.v1(rp)
-                rhs = -rp / (na * rr ** 4) * kin_ab
-                g2 = (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+            g1 = link(r, rr)
+            v1, a, b = condition(held, r, rr)
+            lhs = held_value * v1
+            g2 = (lhs - (a - b)) / (abs(lhs) + abs(a) + abs(b) + 1e-300)
             return g1, g2
         except (OverflowError, ValueError, ZeroDivisionError):
             return math.inf, math.inf
 
     seeds = _seed_grid(_aa_radius_seed(sys, state_a),
-                       _ab_critical_radius_seed(sys))
-    return F, _multistart(F, seeds)
-
-
-def _ab_critical_radius_seed(sys: MixedSystem) -> float:
-    try:
-        return zero_energy_radius(sys.well_ab)
-    except NoRootError:
-        return 1.0 / sys.well_ab.mu
+                       _radius_or_range(sys.well_ab))
+    roots = _multistart(F, seeds)
+    if not roots:
+        raise UnboundError(
+            "no positive-geometry solution: the mixed system cannot reach "
+            f"zero energy at this held {held} (unbound)")
+    values = []
+    for lr, lrr in roots:
+        v1, a, b = condition(solved, math.exp(lr), math.exp(lrr))
+        values.append(((a - b) / v1, lr, lrr))
+    values.sort(key=lambda t: abs(t[0]))
+    value, lr, lrr = values[0]
+    geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
+                    tuple(abs(x) for x in F(lr, lrr)))
+    return MixedCritical(held, held_value, value, geo, sys.mu_ab,
+                         candidates=tuple(v[0] for v in values))
 
 
 def critical_coupling_ab(sys: MixedSystem, state_a: StateSpec,
@@ -389,35 +386,27 @@ def critical_coupling_ab(sys: MixedSystem, state_a: StateSpec,
     """Critical value of g_ab while g_aa is held at sys.g_aa.
 
     For na = 1 the identical-set interaction drops out and the closed
-    two-body form applies.  Raises UnboundError when the zero-energy system
-    has no positive-geometry solution.
+    two-body form applies.  Raises UnboundError when the identical set
+    binds by itself at the held g_aa (at or above its own critical
+    coupling), or when the zero-energy system has no positive-geometry
+    solution.
     """
     qa, q2 = _q_values(sys, state_a, state_b)
     if sys.na == 1:
         return _critical_ab_two_body(sys, q2)
     _require_wells(sys)
-
-    F, roots = _critical_roots(sys, state_a, qa, q2, held="g_aa")
-    if not roots:
+    g_self = critical_coupling(sys.well_aa, sys.na, sys.mass_a, state_a).g_crit
+    if sys.g_aa >= g_self:
         raise UnboundError(
-            "no positive-geometry solution: the mixed system cannot reach "
-            "zero energy at this held g_aa (unbound)")
-    values = []
-    for lr, lrr in roots:
-        r, rr = math.exp(lr), math.exp(lrr)
-        values.append((_gab_from_geometry(sys, q2, r, rr), lr, lrr))
-    values.sort(key=lambda t: abs(t[0]))
-    g_ab, lr, lrr = values[0]
-    geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
-                    tuple(abs(x) for x in F(lr, lrr)))
-    return MixedCritical("g_aa", sys.g_aa, g_ab, geo, sys.mu_ab,
-                         candidates=tuple(v[0] for v in values))
+            f"the {sys.na} identical particles bind by themselves at this "
+            f"held g_aa (their critical coupling is {g_self:.6g}); no "
+            "critical g_ab exists (unbound)")
+    return _critical(sys, state_a, qa, q2, held="g_aa")
 
 
 def _critical_ab_two_body(sys: MixedSystem, q2: float) -> MixedCritical:
     rho = zero_energy_radius(sys.well_ab)
-    factor = 1.0 / (rho * rho * sys.well_ab.v(rho))
-    g_ab = factor * (q2 * HBAR) ** 2 / (2.0 * sys.mu_ab)
+    g_ab = _factor_at(sys.well_ab, rho) * (q2 * HBAR) ** 2 / (2.0 * sys.mu_ab)
     geo = _geometry(sys, 0.0, q2, 0.0, rho, (0.0, 0.0))
     return MixedCritical("g_aa", sys.g_aa, g_ab, geo, sys.mu_ab,
                          candidates=(g_ab,))
@@ -436,22 +425,7 @@ def critical_coupling_aa(sys: MixedSystem, state_a: StateSpec,
         raise ValueError("binding requires a positive held g_ab")
     _require_wells(sys)
     qa, q2 = _q_values(sys, state_a, state_b)
-
-    F, roots = _critical_roots(sys, state_a, qa, q2, held="g_ab")
-    if not roots:
-        raise UnboundError(
-            "no positive-geometry solution: the mixed system cannot reach "
-            "zero energy at this held g_ab (unbound)")
-    values = []
-    for lr, lrr in roots:
-        r, rr = math.exp(lr), math.exp(lrr)
-        values.append((_gaa_from_geometry(sys, qa, q2, r, rr), lr, lrr))
-    values.sort(key=lambda t: abs(t[0]))
-    g_aa, lr, lrr = values[0]
-    geo = _geometry(sys, qa, q2, math.exp(lr), math.exp(lrr),
-                    tuple(abs(x) for x in F(lr, lrr)))
-    return MixedCritical("g_ab", sys.g_ab, g_aa, geo, sys.mu_ab,
-                         candidates=tuple(v[0] for v in values))
+    return _critical(sys, state_a, qa, q2, held="g_ab")
 
 
 # --- exponential-well consistency check --------------------------------------

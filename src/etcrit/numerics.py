@@ -1,16 +1,17 @@
 """Shared numerical kernels.
 
 Bracketed 1-D root finding (Brent), a damped 2-D Newton iteration with
-finite-difference Jacobian, the principal branch of the Lambert W function,
-and zeros of the Bessel function J0.  Everything here is a pure function of
-its inputs and safe to call concurrently.
+finite-difference Jacobian, the geometric grid and guarded evaluation behind
+every bracket scan, the principal branch of the Lambert W function, and
+zeros of the Bessel function J0.  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import BracketError, ConvergenceError, SingularJacobianError
 
@@ -96,6 +97,23 @@ def lambert_w0(x: float) -> float:
         if abs(dw) <= 4.0 * _EPS * (1.0 + abs(w)):
             break
     return w
+
+
+def geometric_grid(lo: float, hi: float, points: int) -> List[float]:
+    """points values from lo to hi with a constant ratio between neighbours.
+
+    The first value is lo exactly; the last equals hi up to rounding.
+    """
+    ratio = (hi / lo) ** (1.0 / (points - 1))
+    return [lo * ratio ** i for i in range(points)]
+
+
+def value_or_nan(f: Callable[[float], float], x: float) -> float:
+    """f(x), or NaN where f overflows, divides by zero or leaves its domain."""
+    try:
+        return f(x)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.nan
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket,

@@ -58,23 +58,16 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Integration grid on [0, r_max] with `points` steps.
-
-    Only the uniform scheme exists; the field is kept explicit so grid
-    descriptions serialize unambiguously.
-    """
+    """Uniform integration grid on [0, r_max] with `points` steps."""
 
     r_max: float
     points: int = 8000
-    scheme: str = "uniform"
 
     def __post_init__(self):
         if not self.r_max > 0.0:
             raise ValueError("r_max must be positive")
         if self.points < 1000:
             raise ValueError("need at least 1000 grid points")
-        if self.scheme != "uniform":
-            raise ValueError(f"unsupported grid scheme {self.scheme!r}")
 
     @property
     def h(self) -> float:

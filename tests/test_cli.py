@@ -185,6 +185,7 @@ class TestScans:
         rows = json.loads(out)
         assert len(rows) == 4 and rows[2]["status"] == "error"
         assert rows[2]["detail"].startswith("ConvergenceError:")
+        assert rows[2]["gab"] == 0.7
 
     def test_bad_vary_name(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -143,6 +143,19 @@ class TestCriticalAttachment:
             critical_coupling_ab(mixed(9, 1.0, 2.0, 1.0, 1.0),
                                  ground_a(9), GROUND2)
 
+    def test_no_critical_from_the_self_binding_threshold(self):
+        # the pair binds by itself from its own critical coupling 9e^2/16;
+        # a critical g_ab exists below that held g_aa and none from it on
+        g_self = critical_coupling(EXP, 2, 1.0, ground_a(2)).g_crit
+        assert g_self == pytest.approx(9 * math.e ** 2 / 16, rel=1e-10)
+        below = critical_coupling_ab(mixed(2, 1.0, 0.5, 0.999 * g_self, 1.0),
+                                     ground_a(2), GROUND2)
+        assert below.critical_value > 0.0
+        for g_aa in (g_self, 1.05 * g_self):
+            with pytest.raises(UnboundError):
+                critical_coupling_ab(mixed(2, 1.0, 0.5, g_aa, 1.0),
+                                     ground_a(2), GROUND2)
+
 
 class TestCriticalInternal:
     def test_zero_at_single_particle_threshold(self):

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from etcrit.critical import zero_energy_radius
 from etcrit.errors import BracketError, ConvergenceError, SingularJacobianError
 from etcrit.numerics import (Bracket, RootConfig, bessel_j0_zero, find_root,
-                             lambert_w0, solve_2d)
+                             geometric_grid, lambert_w0, solve_2d,
+                             value_or_nan)
+from etcrit.potentials import PotentialWell
 
 
 class TestLambertW:
@@ -63,6 +66,47 @@ class TestFindRoot:
                          Bracket(lo, hi))
         assert lo <= root <= hi
         assert root == pytest.approx(center, abs=1e-6 * max(1, abs(center)))
+
+
+class TestScanHelpers:
+    @pytest.mark.parametrize("lo, hi, points", [
+        (1e-6, 1e6, 240), (1e-3 * 4.2, 1e3 * 4.2, 120), (0.5, 2.0, 2),
+    ])
+    def test_geometric_grid(self, lo, hi, points):
+        grid = geometric_grid(lo, hi, points)
+        assert len(grid) == points
+        assert grid[0] == lo
+        assert grid[-1] == pytest.approx(hi, rel=1e-12)
+        ratio = grid[1] / grid[0]
+        assert ratio > 1.0
+        for a, b in zip(grid, grid[1:]):
+            assert b / a == pytest.approx(ratio, rel=1e-12)
+
+    def test_value_or_nan(self):
+        def f(x):
+            if x < 0.0:
+                raise ValueError("outside the domain")
+            if x == 0.0:
+                raise ZeroDivisionError
+            if x > 700.0:
+                raise OverflowError
+            return 2.0 * x
+
+        assert value_or_nan(f, 1.5) == 3.0
+        for x in (-1.0, 0.0, 800.0):
+            assert math.isnan(value_or_nan(f, x))
+
+    def test_zero_energy_radius_skips_points_that_raise(self):
+        # 2 v + r v' = r (r - 2) (r - 5) above r = 0.5 and raises below it;
+        # the first of the two sign changes is the zero-energy radius
+        def v1(r):
+            if r < 0.5:
+                raise OverflowError
+            return (r - 2.0) * (r - 5.0)
+
+        well = PotentialWell("scan-test", 1.0, v=lambda r: 0.0, v1=v1,
+                             v2=lambda r: 0.0)
+        assert zero_energy_radius(well) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSolve2d:

@@ -95,8 +95,6 @@ class TestRadialEigenvalue:
             GridSpec(0.0, 8000)
         with pytest.raises(ValueError):
             GridSpec(40.0, 100)
-        with pytest.raises(ValueError):
-            GridSpec(40.0, 8000, scheme="log")
 
 
 class TestRadialCritical:

@@ -82,15 +82,19 @@ class EtSolution:
     multiple_minima: bool = False
 
 
+def potential_sign(well: PotentialWell) -> float:
+    """+1 for confining power laws, V = g (mu r)**p; -1 for wells, V = -g v."""
+    if well.power_exponent is not None and well.power_exponent > 0:
+        return 1.0
+    return -1.0
+
+
 def signed_potential(well: PotentialWell, coupling: float
                      ) -> Tuple[Callable[[float], float],
                                 Callable[[float], float],
                                 Callable[[float], float]]:
     """(V, V', V'') with the sign convention applied to the well shape."""
-    sign = -1.0
-    if well.power_exponent is not None:
-        sign = 1.0 if well.power_exponent > 0 else -1.0
-    s = sign * coupling
+    s = potential_sign(well) * coupling
     return (lambda r: s * well.v(r),
             lambda r: s * well.v1(r),
             lambda r: s * well.v2(r))
@@ -190,11 +194,10 @@ def _solution_at(sys: IdenticalSystem, q: float, rho: float,
     c2 = sys.pair_count
     p = q * HBAR / (math.sqrt(c2) * rho)
     energy = sys.n_particles * p * p / (2.0 * sys.mass) + c2 * v(rho)
-    confining = sys.well.power_exponent is not None and sys.well.power_exponent > 0
     return EtSolution(
         energy=energy, rho0=rho, p0=p, q_eff=q,
         residuals=_residuals(sys, q, rho, p, energy),
-        bound=energy < 0.0 or confining,
+        bound=energy < 0.0 or potential_sign(sys.well) > 0,
         multiple_minima=multiple)
 
 

@@ -28,14 +28,3 @@ if HAVE_COMPILED:
 else:
     numerov_sweep = _numerov_py.numerov_sweep
     BACKEND = "python"
-
-
-def available_backends() -> dict:
-    """Name -> sweep callable for every importable backend."""
-    out = {"python": _numerov_py.numerov_sweep}
-    try:
-        from . import _numerov  # type: ignore[attr-defined]
-        out["compiled"] = _numerov.numerov_sweep
-    except ImportError:
-        pass
-    return out

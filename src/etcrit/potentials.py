@@ -17,6 +17,11 @@ Custom wells are parsed from a small expression language::
 
 Derivatives of parsed wells are Richardson-extrapolated central differences;
 builtins use closed forms.
+
+The `v` of every well built here also carries `v.on_grid`, the same formula
+applied to a numpy array of radii at once (numpy's exp, sqrt and log in
+place of the math module's).  A `v` without it, such as one swapped in with
+dataclasses.replace, is simply evaluated point by point.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import ExpressionError
@@ -83,8 +89,8 @@ def make_builtin(kind: WellKind | str, mu: float,
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
 
     if kind is WellKind.YUKAWA:
-        def v(r, mu=mu):
-            return math.exp(-mu * r) / (mu * r)
+        def v(r, mu=mu, exp=math.exp):
+            return exp(-mu * r) / (mu * r)
 
         def v1(r, mu=mu):
             return -math.exp(-mu * r) * (mu * r + 1.0) / (mu * r * r)
@@ -93,11 +99,11 @@ def make_builtin(kind: WellKind | str, mu: float,
             x = mu * r
             return math.exp(-x) * (x * x + 2.0 * x + 2.0) / (mu * r ** 3)
 
-        return PotentialWell("yukawa", mu, v, v1, v2)
+        return PotentialWell("yukawa", mu, _on_grid(v), v1, v2)
 
     if kind is WellKind.EXPONENTIAL:
-        def v(r, mu=mu):
-            return math.exp(-mu * r)
+        def v(r, mu=mu, exp=math.exp):
+            return exp(-mu * r)
 
         def v1(r, mu=mu):
             return -mu * math.exp(-mu * r)
@@ -105,11 +111,11 @@ def make_builtin(kind: WellKind | str, mu: float,
         def v2(r, mu=mu):
             return mu * mu * math.exp(-mu * r)
 
-        return PotentialWell("exponential", mu, v, v1, v2)
+        return PotentialWell("exponential", mu, _on_grid(v), v1, v2)
 
     if kind is WellKind.GAUSSIAN:
-        def v(r, mu=mu):
-            return math.exp(-(mu * r) ** 2)
+        def v(r, mu=mu, exp=math.exp):
+            return exp(-(mu * r) ** 2)
 
         def v1(r, mu=mu):
             return -2.0 * mu * mu * r * math.exp(-(mu * r) ** 2)
@@ -118,7 +124,7 @@ def make_builtin(kind: WellKind | str, mu: float,
             m2 = mu * mu
             return (4.0 * m2 * m2 * r * r - 2.0 * m2) * math.exp(-(mu * r) ** 2)
 
-        return PotentialWell("gaussian", mu, v, v1, v2)
+        return PotentialWell("gaussian", mu, _on_grid(v), v1, v2)
 
     # power law
     if exponent is None:
@@ -136,6 +142,8 @@ def make_builtin(kind: WellKind | str, mu: float,
     def v2(r, mu=mu, p=p):
         return p * (p - 1.0) * mu * mu * (mu * r) ** (p - 2.0)
 
+    # (mu*r)**p needs no math-module function: v itself takes arrays
+    v.on_grid = v
     return PotentialWell(f"power_law({p:g})", mu, v, v1, v2, power_exponent=p)
 
 
@@ -145,6 +153,18 @@ _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_]+")
 
 _FUNCTIONS = {"exp": math.exp, "sqrt": math.sqrt, "ln": math.log}
+
+
+def _grid_functions() -> dict:
+    """numpy's counterparts of _FUNCTIONS, which take whole arrays."""
+    import numpy
+    return {"exp": numpy.exp, "sqrt": numpy.sqrt, "ln": numpy.log}
+
+
+def _on_grid(v: Callable) -> Callable:
+    """v(r, exp=...) of a builtin, with its array form attached."""
+    v.on_grid = partial(v, exp=_grid_functions()["exp"])
+    return v
 
 
 def _tokenize(text: str):
@@ -183,10 +203,12 @@ def _power(base: float, exp: float) -> float:
 
 
 class _Parser:
-    """Recursive-descent parser producing a closure of r."""
+    """Recursive-descent parser producing a closure of r; `functions` maps
+    the names exp, sqrt and ln to their implementations."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, functions: dict = _FUNCTIONS):
         self.text = text
+        self.functions = functions
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -262,8 +284,8 @@ class _Parser:
         if kind == "name":
             if val == "r":
                 return lambda r: r
-            if val in _FUNCTIONS:
-                func = _FUNCTIONS[val]
+            if val in self.functions:
+                func = self.functions[val]
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
@@ -323,4 +345,5 @@ def parse_custom(expr: str, mu: float = 1.0) -> PotentialWell:
 
         return (4.0 * second(0.5 * h) - second(h)) / 3.0
 
+    v.on_grid = _Parser(expr, _grid_functions()).parse()
     return PotentialWell(f"custom:{expr}", float(mu), v, v1, v2)

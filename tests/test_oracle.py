@@ -1,14 +1,17 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize, special
 
-from etcrit.errors import UnboundError
+from etcrit import kernels
+from etcrit.errors import BracketError, UnboundError
 from etcrit.oracle import (GridSpec, RadialProblem, default_grid,
                            exact_swave_critical, radial_critical_coupling,
                            radial_eigenvalue)
-from etcrit.potentials import make_builtin
+from etcrit.potentials import make_builtin, parse_custom
 
 EXP = make_builtin("exponential", 1.0)
 
@@ -103,6 +106,20 @@ class TestRadialCritical:
             got = radial_critical_coupling(0, n, EXP)
             assert got == pytest.approx(exact_swave_critical(n), rel=1e-3)
 
+    @pytest.mark.parametrize("n", range(20))
+    def test_swave_within_numerov_error_to_n19(self, n):
+        # Numerov's O(h^4 g^2) error on the default grid, or rounding
+        # (3e-10 relative) where that is larger
+        exact = exact_swave_critical(n)
+        h = 40.0 / 8000
+        bound = max(3e-10 * exact, 0.01 * (h * h * exact) ** 2 * exact)
+        assert abs(radial_critical_coupling(0, n, EXP) - exact) <= bound
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_rises_strictly_with_n(self, l):
+        values = [radial_critical_coupling(l, n, EXP) for n in range(6)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize("l, n, expected", [
         (1, 0, 7.05), (2, 0, 16.3), (1, 1, 16.9), (2, 2, 48.1),
     ])
@@ -129,6 +146,22 @@ class TestRadialCritical:
         with pytest.raises(ValueError):
             radial_critical_coupling(0, 0,
                                      make_builtin("power_law", 1.0, exponent=2.0))
+
+    @pytest.mark.parametrize("expr", ["r", "2", "1/r"])
+    def test_rejects_a_well_that_has_not_decayed(self, expr):
+        # the outer form c1 r^-l + c2 r^(l+1) needs v ~ 0 at r_max
+        with pytest.raises(BracketError, match="not decayed"):
+            radial_critical_coupling(0, 0, parse_custom(expr, 1.0))
+
+    def test_replaced_v_is_the_one_solved(self):
+        # a v swapped in after construction has no array form of its own,
+        # so the solvers must sample it, not the original formula
+        doubled = dataclasses.replace(EXP, v=lambda r: 2.0 * EXP.v(r))
+        assert radial_critical_coupling(0, 1, doubled) == pytest.approx(
+            0.5 * radial_critical_coupling(0, 1, EXP), rel=1e-12)
+        assert radial_eigenvalue(RadialProblem(1, doubled, 20.0), 0) == (
+            pytest.approx(radial_eigenvalue(RadialProblem(1, EXP, 40.0), 0),
+                          rel=1e-12))
 
     def test_gaussian_well(self):
         gauss = make_builtin("gaussian", 1.0)
@@ -161,3 +194,43 @@ class TestRadialCritical:
         assert (lo > 0) != (hi > 0), (
             f"independent integrator puts the {kind} critical coupling "
             f"outside {mine} * (1 +- {window})")
+
+
+class TestWellOutsideItsDomain:
+    def test_same_exception_as_the_scalar_well(self):
+        # passes parse_custom's probes (r >= 0.5) but fails below r = 0.1,
+        # so the array form gives NaN there and the scalar form raises
+        well = parse_custom("exp(-r)*(3+ln(r-0.1))", 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="math domain error"):
+                radial_critical_coupling(0, 0, well)
+            with pytest.raises(ValueError, match="math domain error"):
+                radial_eigenvalue(RadialProblem(0, well, 40.0), 0)
+
+
+class TestSweepBudget:
+    """Kernel calls per solve, counted rather than timed."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        points = []
+        sweep = kernels.numerov_sweep
+
+        def counted(w, *args):
+            points.append(len(w) - 1)
+            return sweep(w, *args)
+
+        monkeypatch.setattr(kernels, "numerov_sweep", counted)
+        return points
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_critical_coupling(self, sweeps, l, n):
+        radial_critical_coupling(l, n, EXP)
+        assert len(sweeps) <= 30
+
+    def test_box_extension(self, sweeps):
+        radial_eigenvalue(RadialProblem(0, EXP, 40.0), 3)
+        assert max(sweeps) > default_grid(1.0).points  # the box did extend
+        assert len(sweeps) < 159

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,3 +132,40 @@ class TestParseCustom:
 
     def test_name_records_expression(self):
         assert parse_custom("exp(-r)", 2.0).name == "custom:exp(-r)"
+
+
+class TestGridForm:
+    """v.on_grid is v applied to a whole array of radii at once."""
+
+    @pytest.mark.parametrize("well", [
+        make_builtin("exponential", 1.0),
+        make_builtin("exponential", 0.53),
+        make_builtin("yukawa", 1.0),
+        make_builtin("yukawa", 1.9),
+        make_builtin("gaussian", 1.0),
+        make_builtin("power_law", 1.0, exponent=2.0),
+        make_builtin("power_law", 1.3, exponent=-1.0),
+        make_builtin("power_law", 0.8, exponent=1.5),
+        parse_custom("exp(-0.8*r)*(1+0.8*r/2)", 0.8),
+        parse_custom("sqrt(r + 1) * ln(2 + r) / r^2", 1.0),
+        parse_custom("2", 1.0),
+    ], ids=lambda well: well.name)
+    def test_matches_scalar_within_4_ulp(self, well):
+        r, scalar, grid = self.sample(well)
+        assert np.all(np.abs(grid - scalar) <= 4 * np.spacing(np.abs(scalar)))
+
+    @pytest.mark.parametrize("mu", [0.53, 0.7, 1.9])
+    def test_gaussian_within_the_rounding_of_its_exponent(self, mu):
+        # (mu*r)**2 is pow() on a float but an exact square on an array:
+        # one ulp apart, which moves exp(-y) by up to y ulp
+        r, scalar, grid = self.sample(make_builtin("gaussian", mu))
+        y = (mu * r) ** 2
+        assert np.all(np.abs(grid - scalar)
+                      <= 4 * np.spacing(scalar) + scalar * np.spacing(y))
+
+    @staticmethod
+    def sample(well):
+        # the radial oracle's default grid: r_max = 40/mu, 8000 steps
+        r = np.arange(1, 8001) * (40.0 / well.mu / 8000)
+        scalar = np.array([well.v(x) for x in r])
+        return r, scalar, np.broadcast_to(well.v.on_grid(r), r.shape)
